@@ -12,12 +12,12 @@ that any mix of threads, processes and hosts can participate in:
   MemoryTransport` (in-process, thread fleets) and
   :class:`~repro.campaign.dist.transport.HttpTransport` (S3-style REST
   against the :mod:`repro.campaign.dist.server` broker,
-  ``python -m repro.campaign.dist.server``, asyncio-cored by default).
-  The HTTP transport also speaks ``POST /claim`` — the whole claim scan
-  runs broker-side in one round trip, with a client-side fallback
-  (:class:`~repro.campaign.dist.transport.ClaimUnsupported`) for brokers
-  that predate the endpoint.  The result cache and the persisted cost
-  model ride the same contract
+  ``python -m repro.campaign.dist.server``, an asyncio event loop).
+  Every transport claims work through one method,
+  :meth:`~repro.campaign.dist.transport.QueueTransport.claim_first`;
+  over HTTP it is ``POST /claim`` — the whole claim scan runs
+  broker-side in one round trip.  The result cache and the persisted
+  cost model ride the same contract
   (:func:`~repro.campaign.cache.open_cache`), so broker fleets
   deduplicate without any shared filesystem.
   :class:`~repro.campaign.dist.sharding.ShardedTransport` scales the
@@ -80,7 +80,6 @@ from repro.campaign.dist.queue import (
 )
 from repro.campaign.dist.sharding import EpochMismatch, ShardedTransport
 from repro.campaign.dist.transport import (
-    ClaimUnsupported,
     DegradedResult,
     FsTransport,
     HttpTransport,
@@ -113,7 +112,6 @@ __all__ = [
     "CampaignSnapshot",
     "ChaosTransport",
     "CircuitBreaker",
-    "ClaimUnsupported",
     "CostModel",
     "DegradedResult",
     "DistributedExecutor",

@@ -11,9 +11,10 @@ is reproducible: same plan, same op sequence, same faults.
 
 The wrapper implements the *full* transport protocol — point ops, the
 batch primitives (``get_many`` / ``put_many`` / ``delete_many`` /
-``mutate_many``), ``list_page``, and the optional ``claim_first`` /
-``stats`` probes (exposed only when the inner transport has them, so
-capability detection by callers keeps working).  It composes under
+``mutate_many``), ``list_page``, ``claim_first`` (one op: the inner
+store's whole claim pass), and the optional ``stats`` probe (exposed
+only when the inner transport has it, so capability detection by callers
+keeps working).  It composes under
 :class:`~repro.campaign.dist.sharding.ShardedTransport`, which is the
 point: wrap one shard of a fleet and the router's circuit breakers,
 degraded reads and claim failover can be exercised without killing a
@@ -179,12 +180,9 @@ class ChaosTransport(QueueTransport):
         self._faults = registry.counter(
             "chaos_faults_total", "faults injected by ChaosTransport, "
             "by op and kind (error/torn)")
-        # Capability mirroring: callers probe `callable(t.claim_first)` /
-        # `callable(t.stats)` — a wrapper must not advertise endpoints
-        # its inner store lacks.  Instance attributes shadow the class
-        # methods.
-        if not callable(getattr(inner, "claim_first", None)):
-            self.claim_first = None  # type: ignore[assignment]
+        # Capability mirroring: callers probe `callable(t.stats)` — a
+        # wrapper must not advertise an endpoint its inner store lacks.
+        # The instance attribute shadows the class method.
         if not callable(getattr(inner, "stats", None)):
             self.stats = None  # type: ignore[assignment]
 
@@ -250,15 +248,17 @@ class ChaosTransport(QueueTransport):
             "list_page", lambda: self.inner.list_page(
                 prefix, max_keys, start_after=start_after))
 
-    # -- optional endpoints (shadowed to None when the inner lacks them) ---
     def claim_first(self, prefix: str = "pending/", worker: str = "",
                     now: Optional[float] = None,
-                    lease_seconds: Optional[float] = None) -> Optional[dict]:
+                    lease_seconds: Optional[float] = None,
+                    registry: Optional[MetricsRegistry] = None
+                    ) -> Optional[dict]:
         return self._apply(
             "claim_first", lambda: self.inner.claim_first(
                 prefix=prefix, worker=worker, now=now,
-                lease_seconds=lease_seconds))
+                lease_seconds=lease_seconds, registry=registry))
 
+    # -- optional endpoint (shadowed to None when the inner lacks it) ------
     def stats(self) -> Optional[dict]:
         """Pass-through, fault-free: chaos targets the data path, and a
         dashboard that cannot see a store *because of the injector* would

@@ -58,7 +58,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.campaign.dist.transport import (
     ANY,
-    ClaimUnsupported,
     DegradedResult,
     FsTransport,
     QueueTransport,
@@ -175,11 +174,12 @@ def claim_first_over(transport: QueueTransport, prefix: str = "pending/",
                      ) -> Optional[Dict[str, Any]]:
     """Run one scan-probe-CAS claim pass over a bare transport.
 
-    This is *the* claim algorithm — :meth:`WorkQueue.claim` runs it
-    client-side over fs/memory transports (and against brokers that
-    predate ``POST /claim``), and the broker runs the very same function
-    server-side to answer ``POST /claim``, where every round trip in it
-    is a local store operation instead of a network exchange.
+    This is *the* claim algorithm — the base
+    :meth:`~repro.campaign.dist.transport.QueueTransport.claim_first`,
+    so :meth:`WorkQueue.claim` runs it in-process over fs/memory
+    transports, and the broker runs the very same function over its own
+    store to answer ``POST /claim``, where every round trip in it is a
+    local store operation instead of a network exchange.
 
     ``prefix`` must end with ``"pending/"``; anything before it is the
     queue's key namespace (normally empty).  ``now`` defaults to the
@@ -200,8 +200,8 @@ def claim_first_over(transport: QueueTransport, prefix: str = "pending/",
 
     ``registry`` receives the pass's claim-conflict and dead-letter
     counters: the broker passes its own (so ``GET /stats`` reports
-    fleet-wide contention), client-side scans default to the
-    process-wide registry.
+    fleet-wide contention), a queue passes its own, and it defaults to
+    the process-wide registry.
     """
     if not prefix.endswith("pending/"):
         raise ValueError(f"claim prefix must end with 'pending/': {prefix!r}")
@@ -276,8 +276,8 @@ def _claim_window_over(transport: QueueTransport, ns: str, candidates,
             # the document, then sees it exist.  If the stored bytes are
             # exactly what we tried to write, the claim is ours; skipping
             # it would strand our own lease and burn a retry attempt the
-            # job never used.  (Server-side the CAS is local and exact,
-            # so this branch simply never fires there.)
+            # job never used.  (On a local store the CAS is exact, so
+            # this branch simply never fires there.)
             got = transport.get(f"{ns}claims/{name}.json")
             if got is None or got[0] != payload:
                 if registry is not None:
@@ -416,11 +416,6 @@ class WorkQueue:
             raise ValueError("max_attempts must be >= 1")
         self.lease_seconds = lease_seconds
         self.max_attempts = max_attempts
-        # Set once the transport's server-side claim fast path has been
-        # probed and found missing (an old broker): later claims skip the
-        # doomed POST and go straight to the client-side scan.
-        self._claim_fallback = not callable(
-            getattr(self.transport, "claim_first", None))
 
     @property
     def address(self) -> Optional[str]:
@@ -594,46 +589,28 @@ class WorkQueue:
         job record is dead-lettered (nothing left to execute) and the
         scan continues with the next ticket.
 
-        The algorithm is :func:`claim_first_over` — one scan-probe-CAS
-        pass: page the pending listing (a claim normally wins inside the
-        first page, so an idle poll never ships the whole keyspace),
-        batch-probe each candidate window's result, ticket *and* claim
-        documents in one round trip, CAS-create the claim document.
-
-        When the transport advertises a server-side claim
-        (``claim_first`` — the HTTP transport against a current broker),
-        the whole pass runs broker-side as one ``POST /claim`` round
-        trip instead of four; the claimant's clock and adopted lease
-        policy ride along, so the semantics (including fake-clock tests)
-        are identical.  A 404 from an old broker falls back to the
-        client-side scan, permanently for this queue object.
+        The pass is the transport's :meth:`~repro.campaign.dist.
+        transport.QueueTransport.claim_first` — :func:`claim_first_over`,
+        one scan-probe-CAS pass: page the pending listing (a claim
+        normally wins inside the first page, so an idle poll never ships
+        the whole keyspace), batch-probe each candidate window's result,
+        ticket *and* claim documents in one round trip, CAS-create the
+        claim document.  Over HTTP the whole pass runs broker-side as
+        one ``POST /claim`` round trip instead of four; the claimant's
+        clock and adopted lease policy ride along, so the semantics
+        (including fake-clock tests) are identical.
         """
-        while not self._claim_fallback:
-            try:
-                outcome = self.transport.claim_first(
-                    prefix="pending/", worker=worker, now=self._clock(),
-                    lease_seconds=self.lease_seconds)
-            except ClaimUnsupported:
-                self._claim_fallback = True
-                break
+        while True:
+            outcome = self.transport.claim_first(
+                prefix="pending/", worker=worker, now=self._clock(),
+                lease_seconds=self.lease_seconds, registry=self.registry)
             if outcome is None:
                 return None
             item = self._item_from_outcome(outcome, worker)
             if item is not None:
                 return item
             # The outcome carried a record this client cannot parse
-            # (version skew): it was buried client-side; rescan.
-        outcome = claim_first_over(
-            self.transport, worker=worker, now=self._clock(),
-            lease_seconds=self.lease_seconds, registry=self.registry)
-        while outcome is not None:
-            item = self._item_from_outcome(outcome, worker)
-            if item is not None:
-                return item
-            outcome = claim_first_over(
-                self.transport, worker=worker, now=self._clock(),
-                lease_seconds=self.lease_seconds, registry=self.registry)
-        return None
+            # (version skew): it was buried here; rescan.
 
     def _item_from_outcome(self, outcome: Dict[str, Any],
                            worker: str) -> Optional[WorkItem]:

@@ -43,12 +43,11 @@ outcomes in input order (same-key ops co-locate, so per-key ordering
 survives).  Batches spanning shards are *not* transactions — but they
 never were on a single broker either (per-item outcomes).
 
-``claim_first`` round-robins the shards (a rotating starting offset per
-router, so idle polls spread load) and returns the first shard's claim.
-If *any* shard cannot claim server-side, the router raises
-:class:`~repro.campaign.dist.transport.ClaimUnsupported` so the queue
-falls back to its client-side scan over the router — a half-supported
-fleet must not look drained while unsupported shards still hold tickets.
+``claim_first`` probes every shard's best pending ticket, ranks the
+shards by it (ties broken by a rotating starting offset per router, so
+idle polls spread load) and claims on each shard in that order through
+the shard's own ``claim_first`` — a broker's ``POST /claim``, or the
+in-process pass over a memory or directory shard.
 
 Partial failure: breakers and degraded mode
 -------------------------------------------
@@ -131,7 +130,6 @@ from repro.campaign.dist.breaker import (
     state_code,
 )
 from repro.campaign.dist.transport import (
-    ClaimUnsupported,
     DegradedResult,
     QueueTransport,
     TransportError,
@@ -639,11 +637,13 @@ class ShardedTransport(QueueTransport):
             return page, page[-1]
         return page, None
 
-    # -- server-side claim -------------------------------------------------
+    # -- claim -------------------------------------------------------------
     def claim_first(self, prefix: str = "pending/", worker: str = "",
                     now: Optional[float] = None,
-                    lease_seconds: Optional[float] = None) -> Optional[dict]:
-        """Server-side claim across the fleet, best-ticket shard first.
+                    lease_seconds: Optional[float] = None,
+                    registry: Optional[MetricsRegistry] = None
+                    ) -> Optional[dict]:
+        """One claim across the fleet, best-ticket shard first.
 
         Each shard is probed for its first pending ticket (one
         ``max_keys=1`` page); shards are then tried in the global sort
@@ -663,22 +663,15 @@ class ShardedTransport(QueueTransport):
         fleet with an unreadable shard as empty).  Only when *no* shard
         answers does the claim raise ``TransportError``.
 
-        Raises ``ClaimUnsupported`` when any shard lacks a server-side
-        claim entirely (e.g. in-memory shards), or when a shard holding
-        tickets answers with an old broker's 404: with mixed support,
-        trusting only the supporting shards would report a drained queue
-        while the others still hold tickets — the client-side scan over
-        the router is the only claim pass that sees the whole fleet.
+        ``registry`` is handed to each shard's claim, so the in-process
+        pass over memory or directory shards counts its conflicts and
+        dead letters where the caller asked.
         """
         count = len(self.shards)
         with self._lock:
             start = self._claim_offset
             self._claim_offset = (self._claim_offset + 1) % count
         rotated = [(start + step) % count for step in range(count)]
-        for index in rotated:
-            if not callable(getattr(self.shards[index], "claim_first",
-                                    None)):
-                raise ClaimUnsupported(self.identities[index])
         ranked: List[Tuple[str, int]] = []
         unreachable: List[str] = []
         for index in rotated:
@@ -705,7 +698,7 @@ class ShardedTransport(QueueTransport):
                     index, "claim_first",
                     lambda i=index: self.shards[i].claim_first(
                         prefix=prefix, worker=worker, now=now,
-                        lease_seconds=lease_seconds))
+                        lease_seconds=lease_seconds, registry=registry))
             except EpochMismatch:
                 raise
             except TransportError:
@@ -733,8 +726,8 @@ class ShardedTransport(QueueTransport):
     def stats(self) -> Dict[str, Optional[dict]]:
         """Per-shard ``GET /stats`` snapshots keyed by shard identity.
 
-        Shards without a ``stats`` endpoint (in-memory, filesystem, old
-        brokers) — and shards that are unreachable right now — report
+        Shards without a ``stats`` endpoint (in-memory, filesystem) — and
+        shards that are unreachable or answer an error right now — report
         ``None``: the caller aggregates what exists.  Deliberately
         outside the breaker/epoch funnel: a telemetry probe must neither
         trip circuits nor write epoch stamps.

@@ -24,13 +24,13 @@ per shard.  The dashboard polls per-shard transports directly rather
 than constructing a router, because the router's epoch handshake writes
 ``meta/epoch`` — and a dashboard must never write.
 
-Against a broker that predates ``GET /stats`` the server columns degrade
-to ``-`` and the queue-depth columns keep working.  An *unreachable*
-shard renders as a ``DOWN`` row while the aggregate line keeps summing
-the reachable shards (``N/M shards``) — a dashboard watching a degraded
-fleet must show the degradation, not die of it.  Exit status: ``0``
-after a clean run, ``2`` on usage errors, ``3`` only when **no** shard
-answers.
+Polled over a store with no ``stats`` method (a queue directory, say)
+the server columns degrade to ``-`` and the queue-depth columns keep
+working.  An *unreachable* shard renders as a ``DOWN`` row while the
+aggregate line keeps summing the reachable shards (``N/M shards``) — a
+dashboard watching a degraded fleet must show the degradation, not die
+of it.  Exit status: ``0`` after a clean run, ``2`` on usage errors,
+``3`` only when **no** shard answers.
 """
 
 from __future__ import annotations
@@ -132,7 +132,9 @@ class _ShardSample:
     def __init__(self, transport: HttpTransport):
         self.down = False
         self.error: Optional[str] = None
-        self.stats = transport.stats()       # None against an old broker
+        # Listings-only columns for a store without a stats endpoint.
+        probe = getattr(transport, "stats", None)
+        self.stats = probe() if callable(probe) else None
         self.depths = queue_depths(transport)
         self.workers = worker_reports(transport)
         self.uptime: Optional[float] = None

@@ -76,6 +76,12 @@ filesystem):
     as the next ``start_after``.  Continuation is *keyset*-based (the
     token is the last key returned), so keys deleted or inserted between
     pages never skip or repeat survivors.
+``claim_first(prefix, worker, now, lease_seconds, registry)``
+    One claim pass of the work queue: the base class runs
+    :func:`~repro.campaign.dist.queue.claim_first_over` over ``self``;
+    ``HttpTransport`` ships the pass to the broker as one ``POST
+    /claim``, and ``ShardedTransport`` ranks its shards' best tickets
+    and claims on the winner.
 
 ETags are content-derived (:func:`etag_of`, a SHA-256 of the bytes): two
 writes of identical bytes share an ETag on every transport, and a broker
@@ -87,9 +93,9 @@ atomically (hard-link or ``O_EXCL`` tricks), but ``If-Match`` updates and
 deletes are read-check-write — racy by nature of POSIX.  The queue is
 designed so that every ``If-Match`` race degrades to a re-executed job
 (results are content-derived, so re-execution is harmless), never to a
-lost one.  ``MemoryTransport`` and the HTTP broker serialize mutations
-under a lock (striped by key prefix on the broker), so for them every
-conditional operation is exact.  Batches are *not* transactions: each
+lost one.  ``MemoryTransport`` serializes mutations under a lock and the
+HTTP broker on its event-loop thread, so for them every conditional
+operation is exact.  Batches are *not* transactions: each
 item succeeds or conflicts individually.
 """
 
@@ -184,18 +190,6 @@ def is_degraded(value) -> bool:
     return bool(getattr(value, "missing_shards", None))
 
 
-class ClaimUnsupported(Exception):
-    """The transport's backend cannot run the claim scan server-side.
-
-    Raised by :meth:`HttpTransport.claim_first` when the broker answers
-    ``POST /claim`` with 404 — an older broker that predates the
-    endpoint.  :meth:`~repro.campaign.dist.queue.WorkQueue.claim` catches
-    this once, memoizes it, and falls back to the client-side
-    scan-probe-CAS sequence for the rest of the process, so new workers
-    interoperate with old brokers at the old (slower) wire cost.
-    """
-
-
 def etag_of(data: bytes) -> str:
     """Content-derived ETag shared by every transport.
 
@@ -221,6 +215,8 @@ class QueueTransport:
     third-party transport that predates them keeps working; the built-in
     transports override them with native implementations (one lock
     acquisition, one HTTP request, one directory walk).
+    :meth:`claim_first` defaults to the in-process claim pass; every
+    transport claims through it.
     """
 
     #: How a separate worker process addresses this store (``--queue`` arg);
@@ -311,6 +307,26 @@ class QueueTransport:
         if len(keys) > max_keys:
             return page, page[-1]
         return page, None
+
+    def claim_first(self, prefix: str = "pending/", worker: str = "",
+                    now: Optional[float] = None,
+                    lease_seconds: Optional[float] = None,
+                    registry: Optional[MetricsRegistry] = None
+                    ) -> Optional[dict]:
+        """Run one scan-probe-CAS claim pass over this store.
+
+        Returns the claim outcome document, or ``None`` when nothing is
+        claimable; see :func:`~repro.campaign.dist.queue.
+        claim_first_over` for the algorithm, the arguments and the
+        outcome's fields.  ``registry`` receives the pass's conflict and
+        dead-letter counters.
+        """
+        # Imported lazily: the queue module builds on this one.
+        from repro.campaign.dist.queue import claim_first_over
+
+        return claim_first_over(self, prefix=prefix, worker=worker, now=now,
+                                lease_seconds=lease_seconds,
+                                registry=registry)
 
 
 class MemoryTransport(QueueTransport):
@@ -688,7 +704,6 @@ class HttpTransport(QueueTransport):
         self.retry_max_delay = retry_max_delay
         self.timeout = timeout
         self.address = self.base_url
-        self._claim_unsupported = False
         parsed = urllib.parse.urlsplit(self.base_url)
         self._https = parsed.scheme == "https"
         self._host = parsed.hostname or ""
@@ -700,7 +715,7 @@ class HttpTransport(QueueTransport):
         # retry pressure, and pooled-connection reuse.  The increments
         # are nanoseconds next to an HTTP round trip; the BENCH_obs.json
         # benchmark pins the overhead and the transport bench floor
-        # (250 cycles/s per core) still gates CI with these on.
+        # (250 cycles/s) still gates CI with these on.
         registry = registry if registry is not None else get_registry()
         self._ops = registry.counter(
             "transport_ops_total", "HTTP exchanges issued, by op")
@@ -1079,29 +1094,28 @@ class HttpTransport(QueueTransport):
     # -- server-side claim -------------------------------------------------
     def claim_first(self, prefix: str = "pending/", worker: str = "",
                     now: Optional[float] = None,
-                    lease_seconds: Optional[float] = None
+                    lease_seconds: Optional[float] = None,
+                    registry: Optional[MetricsRegistry] = None
                     ) -> Optional[dict]:
         """Ask the broker to run one scan-probe-CAS claim pass server-side.
 
-        ``POST /claim`` collapses the whole client-side claim sequence —
-        page the pending listing, batch-probe results/pending/claims,
-        CAS-create the claim document, read the job record — into a
-        single round trip, decided under the broker's locks.  Returns the
-        claim outcome document (``name``/``key``/``etag``/``attempts``/
-        ``cost``/``record``/``lease``), ``None`` when the queue is
-        drained (204), and raises :class:`ClaimUnsupported` against
-        brokers that predate the endpoint (404) — the caller falls back
-        to the client-side scan.  ``now`` and ``lease_seconds`` are
-        passed through for callers driving fake clocks; the broker
-        defaults them to its wall clock and the queue config.
+        ``POST /claim`` collapses the whole claim sequence — page the
+        pending listing, batch-probe results/pending/claims, CAS-create
+        the claim document, read the job record — into a single round
+        trip, decided on the broker's event loop.  Returns the claim
+        outcome document (``name``/``key``/``etag``/``attempts``/
+        ``cost``/``record``/``lease``), or ``None`` when the queue is
+        drained (204).  ``now`` and ``lease_seconds`` are passed through
+        for callers driving fake clocks; the broker defaults them to its
+        wall clock and the queue config.  ``registry`` is unused: the
+        pass's conflict and dead-letter counters land in the broker's
+        own registry, served on ``GET /stats``.
 
         The request is **not** idempotent: a retried POST whose first
         response was lost may have claimed a ticket whose lease the
         caller never learns about.  That degrades to a lease-expiry
         retry (the queue's normal at-least-once path), never a lost job.
         """
-        if self._claim_unsupported:
-            raise ClaimUnsupported(self.base_url)
         query: Dict[str, str] = {"prefix": prefix, "worker": worker}
         if now is not None:
             query["now"] = repr(float(now))
@@ -1110,9 +1124,6 @@ class HttpTransport(QueueTransport):
         status, body, _ = self._request(
             "POST", f"{self._prefix}/claim?{urllib.parse.urlencode(query)}",
             idempotent=False)
-        if status == 404:
-            self._claim_unsupported = True
-            raise ClaimUnsupported(self.base_url)
         if status == 204:
             return None
         if status != 200:
@@ -1126,16 +1137,9 @@ class HttpTransport(QueueTransport):
         return outcome
 
     def stats(self) -> Optional[dict]:
-        """The broker's ``GET /stats`` telemetry snapshot.
-
-        Returns the decoded ``{"server": ..., "metrics": ...}`` document,
-        or ``None`` against a broker that predates the endpoint (404) —
-        the ``dist.stats`` dashboard degrades to queue-state-only output
-        rather than failing.
-        """
+        """The broker's ``GET /stats`` telemetry snapshot: the decoded
+        ``{"server": ..., "metrics": ...}`` document."""
         status, body, _ = self._request("GET", f"{self._prefix}/stats")
-        if status == 404:
-            return None
         if status != 200:
             raise TransportError(
                 f"STATS: unexpected status {status}", address=self.base_url)

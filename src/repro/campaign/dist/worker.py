@@ -12,10 +12,9 @@ transport) or an ``http://host:port`` broker URL (see
 same queue and cache — a fleet sharing nothing but a broker URL
 (``--queue http://b:8123 --cache http://b:8123``) deduplicates exactly
 like one sharing a filesystem.  Each loop iteration scavenges expired
-leases, claims the highest-priority ticket (against a current broker the
-whole claim scan runs server-side as one ``POST /claim`` round trip; the
-queue falls back to the client-side scan for directory queues and older
-brokers), probes the shared result
+leases, claims the highest-priority ticket (against a broker the whole
+claim scan runs server-side as one ``POST /claim`` round trip; over a
+directory queue it runs in the worker), probes the shared result
 cache (:func:`~repro.campaign.cache.open_cache`) *before* running
 (another worker may have computed the job already — results are
 content-derived, so serving the cached record is exact), executes via

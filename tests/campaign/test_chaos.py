@@ -225,11 +225,12 @@ def test_chaos_transport_is_transparent_without_faults():
 
 
 def test_chaos_transport_mirrors_optional_capabilities():
-    # MemoryTransport has no server-side claim: the wrapper must not
-    # invent one, or the sharded router would trust a phantom endpoint.
+    # MemoryTransport has no stats endpoint: the wrapper must not invent
+    # one.  Every transport claims, so claim_first is always there.
     plain = ChaosTransport(MemoryTransport(), FaultPlan())
-    assert plain.claim_first is None
-    # HttpTransport has claim_first and stats (construction is offline).
+    assert plain.stats is None
+    assert callable(plain.claim_first)
+    # HttpTransport has stats (construction is offline).
     http = ChaosTransport(
         HttpTransport("http://chaos.invalid:1", retries=0), FaultPlan())
     assert callable(http.claim_first)
@@ -681,8 +682,7 @@ def test_chaos_partitioned_shard_fleet_completes_grid_exactly_once(
     must still complete the full grid with exactly one execution per job
     key and a serial-identical aggregate, no job lost or dead-lettered —
     and the flapping shard's breaker must show the full trip ->
-    half-open -> reclose lifecycle.  Runs on whichever broker core
-    ``REPRO_BROKER_CORE`` selects (CI runs both)."""
+    half-open -> reclose lifecycle."""
     from repro.campaign.dist import worker as worker_mod
 
     spec = SweepSpec(name="chaos-acceptance", case="chaos-nap",

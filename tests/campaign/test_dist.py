@@ -50,6 +50,19 @@ PLATFORM_SPEC = platform_grid_spec(
 )
 
 
+#: Crash-fleet premise, per worker: worker 0 crashes on its second claim,
+#: worker 1 on its first.  Neither can exit first — a worker leaves only
+#: once the queue is drained, and together they settle at most one job —
+#: so both crashes always fire, and the executor's respawned worker
+#: finishes the grid.  (A crash-free worker could drain the whole grid
+#: before the other worker's Nth claim, and then no crash would fire.)
+#: A job is crashed at most twice, below the default ``max_attempts=3``,
+#: so none dead-letters; worker 1 never settles a job at all.
+CRASH_ARGS = [("--crash-after-claims", "2"), ("--crash-after-claims", "1")]
+CRASH_OPTIONS = [{"crash_after_claims": 2, "crash_mode": "abandon"},
+                 {"crash_after_claims": 1, "crash_mode": "abandon"}]
+
+
 def _synthetic_spec(**overrides):
     kwargs = dict(name="dist-synth", case="synthetic", base={"rate": 140.0},
                   grid={"workers": [1, 2], "tasks": [5, 9, 17, 33]})
@@ -67,22 +80,22 @@ def platform_serial():
 
 @pytest.fixture(params=["fs", "memory", "http"])
 def crash_fleet(request, tmp_path):
-    """Executor kwargs for a 2-worker fleet whose worker #1 crashes after
-    its second claim, per transport: process fleets hard-exit
-    (``os._exit`` via the worker CLI), the in-process thread fleet
-    abandons its claim (``WorkerCrash``) — both leave a dangling lease."""
+    """Executor kwargs for a 2-worker fleet whose workers both crash
+    mid-job (see :data:`CRASH_ARGS`), per transport: process fleets
+    hard-exit (``os._exit`` via the worker CLI), the in-process thread
+    fleet abandons its claim (``WorkerCrash``) — both leave a dangling
+    lease."""
     if request.param == "fs":
         yield dict(queue_dir=tmp_path / "queue",
-                   worker_extra_args=[(), ("--crash-after-claims", "2")])
+                   worker_extra_args=CRASH_ARGS)
     elif request.param == "memory":
         yield dict(transport=MemoryTransport(),
-                   worker_options=[{}, {"crash_after_claims": 2,
-                                        "crash_mode": "abandon"}])
+                   worker_options=CRASH_OPTIONS)
     else:
         broker = Broker(data_dir=tmp_path / "broker").start()
         try:
             yield dict(transport=broker.url,
-                       worker_extra_args=[(), ("--crash-after-claims", "2")])
+                       worker_extra_args=CRASH_ARGS)
         finally:
             broker.stop()
 
@@ -91,8 +104,8 @@ def crash_fleet(request, tmp_path):
 
 def test_distributed_fleet_with_worker_crash_matches_serial(crash_fleet,
                                                             platform_serial):
-    """12 real-workload jobs, 2 workers, one injected crash mid-job: the
-    lease expires, the job requeues, the surviving worker finishes the
+    """12 real-workload jobs, 2 workers, both crashing mid-job: the
+    leases expire, the jobs requeue, the respawned worker finishes the
     grid, and the aggregate equals the serial run exactly — identically
     over the filesystem, memory and HTTP transports."""
     assert PLATFORM_SPEC.job_count == 12
@@ -118,7 +131,7 @@ def test_distributed_fleet_with_worker_crash_matches_serial(crash_fleet,
     assert counts["done"] == 12
     assert counts["dead"] == 0
     # Prove the crash + recovery actually happened: the raw result records
-    # carry the settling attempt number, so the job the crashed worker was
+    # carry the settling attempt number, so a job a crashed worker was
     # holding must have completed on attempt >= 2, by a different worker.
     records = list(queue.result_records().values())
     attempts = [record["attempts"] for record in records]
@@ -131,7 +144,7 @@ def test_broker_fleet_dedups_through_broker_cache_under_crash(platform_serial):
     """The no-shared-filesystem story, end to end: worker *processes*
     reach both the queue and the result cache purely through one broker
     URL (``--queue http://B --cache http://B``), the broker's store is
-    in-memory — there is no shared directory anywhere — and with a worker
+    in-memory — there is no shared directory anywhere — and with workers
     crashing mid-grid the fleet still executes each job key at most once
     and reproduces the serial aggregate bit-for-bit.  A second fleet over
     a wiped queue then serves *every* job from the broker cache: the
@@ -142,7 +155,7 @@ def test_broker_fleet_dedups_through_broker_cache_under_crash(platform_serial):
         executor = DistributedExecutor(
             workers=2, transport=broker.url, cache=cache,
             lease_seconds=1.0, poll_interval=0.05, timeout=300.0,
-            worker_extra_args=[(), ("--crash-after-claims", "2")])
+            worker_extra_args=CRASH_ARGS)
         distributed = run_campaign(PLATFORM_SPEC, executor=executor,
                                    cache=cache)
         assert distributed.ok, distributed.failures
@@ -153,7 +166,7 @@ def test_broker_fleet_dedups_through_broker_cache_under_crash(platform_serial):
         assert len(records) == 12
         # ≤1 execution per job key: every settled record is a fresh
         # execution and there is exactly one record per key — the crashed
-        # claim was re-run by the survivor (attempts >= 2), not doubled.
+        # claims were re-run by the respawn (attempts >= 2), not doubled.
         assert all(not record["cached"] for record in records.values())
         assert max(record["attempts"] for record in records.values()) >= 2
         assert len(cache) == 12
@@ -233,23 +246,23 @@ def test_sharded_fleet_survives_shard_broker_restart_mid_lease(tmp_path):
 
 def test_sharded_fleet_with_worker_crashes_matches_serial(tmp_path,
                                                           platform_serial):
-    """12 real-workload jobs over two brokers, three worker processes of
-    which two crash mid-job (so crashed leases dangle on both shards):
-    the survivors finish the grid and the aggregate equals the serial
-    run bit-for-bit — no job lost, no job dead-lettered, crashed claims
-    re-executed (attempts >= 2) rather than doubled."""
+    """12 real-workload jobs over two brokers, two worker processes that
+    both crash mid-job (see :data:`CRASH_ARGS`; the crashed leases may
+    dangle on either shard): the respawned worker finishes the grid and
+    the aggregate equals the serial run bit-for-bit — no job lost, no job
+    dead-lettered, crashed claims re-executed (attempts >= 2) rather than
+    doubled."""
     brokers = [Broker(data_dir=tmp_path / "shard-a").start(),
                Broker(data_dir=tmp_path / "shard-b").start()]
     try:
         fleet_address = ",".join(b.url for b in brokers)
         executor = DistributedExecutor(
-            workers=3,
+            workers=2,
             transport=fleet_address,
             lease_seconds=1.0,      # short lease => fast crash recovery
             poll_interval=0.05,
             timeout=300.0,
-            worker_extra_args=[(), ("--crash-after-claims", "2"),
-                               ("--crash-after-claims", "3")],
+            worker_extra_args=CRASH_ARGS,
         )
         distributed = run_campaign(PLATFORM_SPEC, executor=executor)
 

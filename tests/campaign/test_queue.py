@@ -14,6 +14,7 @@ Corruption is injected through the transport (``transport.put`` of
 garbage bytes), which reaches all three backends identically.
 """
 
+import functools
 import json
 
 import pytest
@@ -24,6 +25,7 @@ from repro.campaign.dist import (
     FsTransport,
     HttpTransport,
     MemoryTransport,
+    QueueTransport,
     ShardedTransport,
     WorkQueue,
     cost_for_priority,
@@ -358,11 +360,12 @@ def test_claim_adopts_its_own_lost_response_write(queue, clock):
             return None  # the write landed; the response did not
         return tag
 
-    # The own-write check lives in the *client-side* scan: over a broker
-    # with server-side claim the CAS is local and exact, so pin the
-    # fallback path (old brokers and fs/memory transports keep it).
-    queue._claim_fallback = True
+    # The own-write check lives in the scan itself (claim_first_over): a
+    # broker or a shard runs it over its own store, where the CAS is local
+    # and exact, so run the base-class pass over this lossy transport.
     queue.transport.cas = lossy_cas
+    queue.transport.claim_first = functools.partial(
+        QueueTransport.claim_first, queue.transport)
     item = queue.claim("w0")
     assert dropped, "the simulated lost response never triggered"
     assert item is not None and item.key == job.job_id

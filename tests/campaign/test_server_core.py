@@ -1,12 +1,10 @@
-"""Broker network-core regression tests, run against BOTH cores.
+"""Broker regression tests: the asyncio network loop and its dialect.
 
-The broker grew a second network core (asyncio selector loop alongside
-the legacy ``ThreadingHTTPServer``) and a server-side claim endpoint.
-Everything here is parametrized over both cores: the wire dialect, the
-keep-alive desync hardening (malformed ``Content-Length``, bodies on
-GET/DELETE), the ``Broker.stop()`` lifecycle guards, and the
-``POST /claim`` contract — exactly-one-winner, drained → 204, corrupt
-bookkeeping, the old-broker fallback, and fake clocks riding the wire.
+Covers the wire dialect, the keep-alive desync hardening (malformed
+``Content-Length``, bodies on GET/DELETE), the ``Broker.stop()``
+lifecycle guards, and the ``POST /claim`` contract — exactly-one-winner,
+drained → 204, corrupt bookkeeping, and fake clocks riding the wire.
+Test ids carry ``[asyncio]``, the name of the broker's network loop.
 """
 
 import json
@@ -20,10 +18,8 @@ import pytest
 from repro.campaign import SweepSpec
 from repro.campaign.dist import HttpTransport, WorkQueue
 from repro.campaign.dist.server import Broker
-from repro.campaign.dist.transport import ClaimUnsupported
 from repro.campaign.jobs import execute_job
-
-CORES = ["asyncio", "thread"]
+from repro.campaign.obs import series_value
 
 
 def _spec(**overrides):
@@ -34,13 +30,18 @@ def _spec(**overrides):
     return SweepSpec(**kwargs)
 
 
-@pytest.fixture(params=CORES)
-def broker(request):
-    b = Broker(core=request.param).start()
+@pytest.fixture(params=["asyncio"])
+def unstarted_broker(request):
+    b = Broker()
     try:
         yield b
     finally:
         b.stop()
+
+
+@pytest.fixture
+def broker(unstarted_broker):
+    return unstarted_broker.start()
 
 
 def _read_responses(stream, count):
@@ -63,25 +64,7 @@ def _read_responses(stream, count):
     return out
 
 
-# -- core selection ----------------------------------------------------------
-
-def test_core_selection_and_validation(monkeypatch):
-    monkeypatch.delenv("REPRO_BROKER_CORE", raising=False)
-    b = Broker()
-    assert b.core == "asyncio"  # the default core
-    b.stop()
-    monkeypatch.setenv("REPRO_BROKER_CORE", "thread")
-    b = Broker()
-    assert b.core == "thread"  # env var steers the default (CI matrix)
-    b.stop()
-    b = Broker(core="asyncio")
-    assert b.core == "asyncio"  # explicit arg beats the env var
-    b.stop()
-    with pytest.raises(ValueError, match="unknown broker core"):
-        Broker(core="gevent")
-
-
-# -- wire dialect smoke over both cores --------------------------------------
+# -- wire dialect smoke ------------------------------------------------------
 
 def test_wire_dialect_smoke(broker):
     transport = HttpTransport(broker.url, retries=1, retry_delay=0.05)
@@ -145,9 +128,8 @@ def test_negative_content_length_gets_400_and_announced_close(broker):
 
 
 def test_garbage_request_line_gets_400_not_a_hang(broker):
-    # The legacy thread core's error page lacks a status line (stdlib
-    # quirk), so only assert the essentials: a 400-ish refusal arrives
-    # and the connection closes instead of wedging.
+    # Only the essentials: a 400 refusal arrives and the connection
+    # closes instead of wedging.
     with socket.create_connection((broker.host, broker.port),
                                   timeout=5.0) as sock:
         sock.sendall(b"THIS IS NOT HTTP\r\n\r\n")
@@ -192,16 +174,14 @@ def test_post_to_unknown_path_drains_body_then_keeps_alive(broker):
 
 # -- Broker lifecycle --------------------------------------------------------
 
-@pytest.mark.parametrize("core", CORES)
-def test_stop_before_start_does_not_deadlock(core):
-    """Satellite regression: ``stop()`` is documented idempotent but the
-    thread core's ``shutdown()`` blocked forever when ``serve_forever``
-    never ran.  Run stop on a helper thread and require it to finish."""
-    broker = Broker(core=core)
+def test_stop_before_start_does_not_deadlock(unstarted_broker):
+    """``stop()`` is documented idempotent and safe before ``start()``:
+    with no loop to stop it only releases the port.  Run stop on a
+    helper thread and require it to finish."""
     finished = []
 
     def stopper():
-        broker.stop()
+        unstarted_broker.stop()
         finished.append(True)
 
     thread = threading.Thread(target=stopper, daemon=True)
@@ -211,9 +191,7 @@ def test_stop_before_start_does_not_deadlock(core):
         "stop() before start() must return, not deadlock"
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_stop_is_idempotent_after_start(core):
-    broker = Broker(core=core).start()
+def test_stop_is_idempotent_after_start(broker):
     transport = HttpTransport(broker.url, retries=0)
     transport.put("k.json", b"v")
     broker.stop()
@@ -260,7 +238,7 @@ def test_claim_endpoint_validates_parameters(broker):
 
 def test_claim_endpoint_exactly_one_winner_under_concurrency(broker):
     """Six threads hammering claim() against one broker: every job is
-    claimed exactly once, all through the server-side fast path."""
+    claimed exactly once, each win decided broker-side."""
     jobs = _spec().expand()
     setup = WorkQueue(
         transport=HttpTransport(broker.url, retries=2, retry_delay=0.05),
@@ -269,12 +247,10 @@ def test_claim_endpoint_exactly_one_winner_under_concurrency(broker):
         setup.enqueue(job)
 
     claimed, lock = [], threading.Lock()
-    queues = []
 
     def worker(wid):
         queue = WorkQueue(transport=HttpTransport(
             broker.url, retries=2, retry_delay=0.05))
-        queues.append(queue)
         while True:
             item = queue.claim(f"w{wid}")
             if item is None:
@@ -292,8 +268,10 @@ def test_claim_endpoint_exactly_one_winner_under_concurrency(broker):
     assert len(claimed) == len(jobs)
     assert len({item.key for item in claimed}) == len(jobs)
     assert setup.counts()["claimed"] == len(jobs)
-    assert all(not queue._claim_fallback for queue in queues), \
-        "claims must ride the server-side fast path, not the fallback"
+    # Every win was decided broker-side, one POST /claim each.
+    assert series_value(broker.dialect.registry.snapshot(), "counters",
+                        "broker_claims_total",
+                        outcome="claimed") == len(jobs)
 
 
 def test_claim_endpoint_corrupt_ticket_claims_at_attempt_zero(broker):
@@ -308,7 +286,6 @@ def test_claim_endpoint_corrupt_ticket_claims_at_attempt_zero(broker):
     assert item is not None
     assert item.key == job.job_id
     assert item.attempts == 0
-    assert not queue._claim_fallback
 
 
 def test_claim_endpoint_buries_corrupt_job_record_and_scans_on(broker):
@@ -329,32 +306,9 @@ def test_claim_endpoint_buries_corrupt_job_record_and_scans_on(broker):
     assert "corrupt job record" in queue.dead()[first_key]["error"]
 
 
-def test_claim_falls_back_against_old_broker(broker):
-    """A broker without ``POST /claim`` answers 404: the transport
-    raises ClaimUnsupported once, the queue memoizes the fallback, and
-    claims keep working through the client-side scan."""
-    broker.dialect.serve_claim = False  # simulate a pre-/claim broker
-    transport = HttpTransport(broker.url, retries=1, retry_delay=0.05)
-    queue = WorkQueue(transport=transport, lease_seconds=30.0)
-    jobs = _spec().expand()[:2]
-    for job in jobs:
-        queue.enqueue(job)
-    item = queue.claim("w0")
-    assert item is not None
-    assert queue._claim_fallback, "the 404 must memoize the fallback"
-    with pytest.raises(ClaimUnsupported):
-        transport.claim_first()  # memoized client-side: no round trip
-    # Later claims go straight to the scan and still work.
-    second = queue.claim("w0")
-    assert second is not None and second.key != item.key
-    queue.complete(item, execute_job(item.job))
-    queue.complete(second, execute_job(second.job))
-    assert queue.drained()
-
-
 def test_fake_clock_and_lease_ride_the_claim_endpoint(broker):
     """``now`` and ``lease`` travel with the request, so lease expiry
-    arithmetic over the wire matches the client-side scan exactly —
+    arithmetic over the wire matches an in-process claim exactly —
     including under an injected fake clock."""
     clock = [1000.0]
     queue = WorkQueue(
@@ -363,7 +317,6 @@ def test_fake_clock_and_lease_ride_the_claim_endpoint(broker):
     job = _spec().expand()[0]
     queue.enqueue(job)
     assert queue.claim("doomed") is not None
-    assert not queue._claim_fallback
     assert queue.requeue_expired() == []  # lease live at fake-now
     clock[0] += 11.0
     assert queue.requeue_expired() == [job.job_id]

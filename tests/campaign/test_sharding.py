@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.campaign import SweepSpec
 from repro.campaign.dist import (
-    ClaimUnsupported,
     MemoryTransport,
     ShardedTransport,
     TransportError,
@@ -31,6 +30,7 @@ from repro.campaign.dist.sharding import (
 )
 from repro.campaign.dist.transport import transport_from_address
 from repro.campaign.jobs import execute_job
+from repro.campaign.obs import MetricsRegistry, series_value
 
 _KEY_ALPHABET = string.ascii_lowercase + string.digits + "/-_."
 
@@ -242,29 +242,58 @@ def test_epoch_stamp_heals_garbage():
     assert stamped["epoch"] == router.epoch
 
 
-# -- claim semantics over mixed fleets ---------------------------------------
+# -- claims over memory shards -----------------------------------------------
 
-def test_sharded_claim_falls_back_client_side_and_drains():
-    """Shards without a server-side claim make the router raise
-    ``ClaimUnsupported`` — and the queue's client-side scan over the
-    router still claims and settles every job exactly once."""
-    router, _ = _router(2)
-    with pytest.raises(ClaimUnsupported):
-        router.claim_first()
+def _drain_in_claim_order(queue):
+    """Claim and settle until drained; the claimed items in claim order."""
+    claimed = []
+    while True:
+        item = queue.claim("w0")
+        if item is None:
+            return claimed
+        queue.complete(item, execute_job(item.job))
+        claimed.append(item)
+
+
+def test_sharded_claim_over_memory_shards_drains_exactly_once():
+    """Memory shards claim like broker shards: the router ranks the
+    shards and calls each one's own ``claim_first``, and a queue over
+    the router claims and settles every job exactly once."""
+    registry = MetricsRegistry()
+    shards = [MemoryTransport(), MemoryTransport()]
+    router = ShardedTransport(shards, registry=registry)
+    assert router.claim_first() is None  # an empty fleet has nothing
     spec = SweepSpec(name="sharded", case="synthetic", base={"rate": 150.0},
                      grid={"workers": [1, 2], "tasks": [4, 8]})
     queue = WorkQueue(transport=router, lease_seconds=30.0)
     jobs = spec.expand()
     queue.enqueue_grid(jobs)
-    seen = []
-    while True:
-        item = queue.claim("w0")
-        if item is None:
-            break
-        queue.complete(item, execute_job(item.job))
-        seen.append(item.key)
+    seen = [item.key for item in _drain_in_claim_order(queue)]
     assert len(seen) == len(set(seen)) == len(jobs)
     assert queue.drained()
+    snapshot = registry.snapshot()
+    per_shard = [series_value(snapshot, "counters", "sharded_ops_total",
+                              op="claim_first", shard=identity) or 0.0
+                 for identity in router.identities]
+    assert sum(per_shard) >= len(jobs) and min(per_shard) > 0
+
+
+def test_sharded_claims_over_memory_shards_are_globally_longest_first():
+    """Each shard only knows its own tickets, yet a drain over two memory
+    shards claims in *global* longest-job-first order: the router probes
+    every shard's best ticket and claims on the best-ranked shard."""
+    router, shards = _router(2)
+    queue = WorkQueue(transport=router, lease_seconds=30.0)
+    spec = SweepSpec(name="sharded-ljf", case="synthetic",
+                     base={"rate": 150.0}, grid={"tasks": list(range(1, 9))})
+    jobs = spec.expand()
+    costs = {job.job_id: float(10 * (index + 1))
+             for index, job in enumerate(jobs)}
+    for job in jobs:
+        queue.enqueue(job, cost=costs[job.job_id])
+    assert all(shard.list("pending/") for shard in shards)  # both hold work
+    claimed = [costs[item.key] for item in _drain_in_claim_order(queue)]
+    assert claimed == sorted(costs.values(), reverse=True)
 
 
 # -- sharded fleet dashboard --------------------------------------------------

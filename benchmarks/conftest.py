@@ -9,12 +9,14 @@ values.
 
 The throughput micro-benchmarks additionally persist machine-readable
 artifacts (:func:`write_bench_artifact` → ``BENCH_<name>.json`` with
-ops/s, git sha and timestamp) so the perf trajectory is tracked across
-PRs instead of living only in terminal scrollback; CI uploads them.
+ops/s, git sha, timestamp and host facts) so the perf trajectory is
+tracked across PRs instead of living only in terminal scrollback; CI
+uploads them.
 """
 
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -59,15 +61,19 @@ def write_bench_artifact(name, results):
     """Persist one benchmark's numbers as ``BENCH_<name>.json``.
 
     ``results`` is a flat mapping of metric name → ops/s (floats); the
-    artifact adds the git sha and a UTC timestamp so a sequence of
-    artifacts *is* the perf trajectory.  The destination defaults to the
-    benchmarks directory (committed, so the trajectory rides the repo)
-    and is overridable via ``REPRO_BENCH_DIR`` for CI artifact staging.
+    artifact adds the git sha, a UTC timestamp and the host's cores and
+    Python version so a sequence of artifacts *is* the perf trajectory,
+    and rates from different hosts are not mistaken for a regression.
+    The destination defaults to the benchmarks directory (committed, so
+    the trajectory rides the repo) and is overridable via
+    ``REPRO_BENCH_DIR`` for CI artifact staging.
     Returns the path written.
     """
     record = {
         "benchmark": name,
         "git_sha": _git_sha(),
+        "host": {"cores": os.cpu_count(),
+                 "python": platform.python_version()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "results": {key: round(float(value), 2)
                     for key, value in sorted(results.items())},

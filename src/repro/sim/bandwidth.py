@@ -6,9 +6,14 @@ per flow and degraded as a function of the number of concurrent flows (an
 ``efficiency`` curve — this is how HDD seek-thrashing under concurrent
 streams is expressed).  Whenever the set of active flows changes, the
 remaining work of every flow is re-evaluated and the next completion is
-rescheduled.  The model is the standard progress-based flow model used by
-network/storage simulators and gives deterministic, closed-form sharing
-without simulating individual requests.
+rescheduled.  Because all flows share one rate, each event evaluates that
+rate once: progress is one ``rate * elapsed`` step subtracted from every
+flow, and the next completion is the smallest remainder divided by the
+rate (division by a positive constant is monotone, so this is the same
+float as the smallest per-flow ``remaining / rate``).  The model is the
+standard progress-based flow model used by network/storage simulators and
+gives deterministic, closed-form sharing without simulating individual
+requests.
 """
 
 from __future__ import annotations
@@ -53,11 +58,13 @@ class _Flow:
     amount: float
     start: float
     tag: Any = None
-    weight: float = 1.0
 
 
 class SharedBandwidth:
     """A rate-limited resource shared fairly among concurrent flows.
+
+    Every active flow gets one equal share of the aggregate rate; flows
+    carry no weights, so :meth:`transfer` takes none.
 
     Parameters
     ----------
@@ -110,7 +117,7 @@ class SharedBandwidth:
         """Rate each active flow currently receives (0 if no flows)."""
         return self._share(len(self._flows))
 
-    def transfer(self, amount: float, tag: Any = None, weight: float = 1.0) -> Event:
+    def transfer(self, amount: float, tag: Any = None) -> Event:
         """Start a transfer of ``amount`` units.
 
         Returns an event whose value is a :class:`TransferRecord` once the
@@ -121,16 +128,14 @@ class SharedBandwidth:
         if amount <= 0:
             event.succeed(TransferRecord(0.0, self.env.now, self.env.now, tag))
             return event
-        if weight <= 0:
-            raise ValueError("weight must be positive")
         self._advance()
         self._flows.append(_Flow(event, float(amount), float(amount),
-                                 self.env.now, tag, weight))
+                                 self.env.now, tag))
         self._reschedule()
         return event
 
     # -- sharing model -----------------------------------------------------
-    def _share(self, n_flows: int, weight: float = 1.0, total_weight: Optional[float] = None) -> float:
+    def _share(self, n_flows: int) -> float:
         if n_flows <= 0:
             return 0.0
         aggregate = self.rate
@@ -139,17 +144,10 @@ class SharedBandwidth:
             if factor <= 0:
                 raise ValueError("efficiency() must return a positive factor")
             aggregate *= factor
-        if total_weight is None:
-            total_weight = float(n_flows) * weight
-        share = aggregate * (weight / total_weight)
+        share = aggregate * (1.0 / n_flows)
         if self.per_flow_rate is not None:
             share = min(share, self.per_flow_rate)
         return share
-
-    def _flow_rates(self) -> List[float]:
-        n = len(self._flows)
-        total_weight = sum(f.weight for f in self._flows)
-        return [self._share(n, f.weight, total_weight) for f in self._flows]
 
     # -- internal bookkeeping ---------------------------------------------
     def _time_quantum(self) -> float:
@@ -169,22 +167,25 @@ class SharedBandwidth:
         self._last_update = now
         if elapsed <= 0 or not self._flows:
             return
-        rates = self._flow_rates()
-        for flow, rate in zip(self._flows, rates):
-            flow.remaining = max(0.0, flow.remaining - rate * elapsed)
+        step = self._share(len(self._flows)) * elapsed
+        for flow in self._flows:
+            flow.remaining = max(0.0, flow.remaining - step)
 
     def _complete_finished(self) -> None:
         # A flow counts as finished when its remainder could be moved within
         # one time quantum at the aggregate rate (sub-nanosecond error) or is
         # a pure floating-point residue of its own size.
         threshold = self.rate * self._time_quantum()
-        finished = [
-            f for f in self._flows
-            if f.remaining <= max(threshold, _EPS * max(1.0, f.amount))
-        ]
+        active: List[_Flow] = []
+        finished: List[_Flow] = []
+        for f in self._flows:
+            if f.remaining <= max(threshold, _EPS * max(1.0, f.amount)):
+                finished.append(f)
+            else:
+                active.append(f)
         if not finished:
             return
-        self._flows = [f for f in self._flows if f not in finished]
+        self._flows = active
         now = self.env.now
         for flow in finished:
             self.total_transferred += flow.amount
@@ -196,11 +197,10 @@ class SharedBandwidth:
         generation = self._wake_generation
         if not self._flows:
             return
-        rates = self._flow_rates()
-        time_to_next = min(
-            flow.remaining / rate if rate > 0 else math.inf
-            for flow, rate in zip(self._flows, rates)
-        )
+        rate = self._share(len(self._flows))
+        if rate <= 0:  # pragma: no cover - defensive
+            return
+        time_to_next = min(flow.remaining for flow in self._flows) / rate
         if math.isinf(time_to_next):  # pragma: no cover - defensive
             return
         time_to_next = max(time_to_next, self._time_quantum())

@@ -140,9 +140,6 @@ def test_invalid_parameters_rejected():
         SharedBandwidth(env, rate=0.0)
     with pytest.raises(ValueError):
         SharedBandwidth(env, rate=1.0, per_flow_rate=0.0)
-    link = SharedBandwidth(env, rate=1.0)
-    with pytest.raises(ValueError):
-        link.transfer(1.0, weight=0.0)
 
 
 def test_cpu_pool_full_speed_up_to_cores():
@@ -175,23 +172,3 @@ def test_cpu_pool_oversubscription_slows_down():
     # 4 tasks of 2 core-seconds on 2 cores -> 4 seconds total.
     assert all(end == pytest.approx(4.0) for end in ends)
 
-
-def test_weighted_sharing():
-    env = Environment()
-    link = SharedBandwidth(env, rate=90.0)
-    results = {}
-
-    def heavy():
-        rec = yield link.transfer(120.0, weight=2.0)
-        results["heavy"] = rec.end
-
-    def light():
-        rec = yield link.transfer(60.0, weight=1.0)
-        results["light"] = rec.end
-
-    env.process(heavy())
-    env.process(light())
-    env.run()
-    # Rates: heavy 60 u/s, light 30 u/s -> both finish at t=2.
-    assert results["heavy"] == pytest.approx(2.0)
-    assert results["light"] == pytest.approx(2.0)

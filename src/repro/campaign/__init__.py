@@ -36,7 +36,6 @@ from repro.campaign.cache import (
     open_cache,
 )
 from repro.campaign.dist import (
-    AutoscalePolicy,
     CampaignSnapshot,
     CostModel,
     DistributedExecutor,
@@ -67,7 +66,6 @@ from repro.campaign.spec import JobSpec, SpecError, SweepSpec, canonical_json
 
 __all__ = [
     "AsyncExecutor",
-    "AutoscalePolicy",
     "CampaignResult",
     "CampaignSnapshot",
     "CostModel",

@@ -43,9 +43,7 @@ that any mix of threads, processes and hosts can participate in:
   ``python -m repro.campaign.dist.worker --queue DIR_OR_URL``) — the
   claim, cache-deduplicate, execute, heartbeat loop;
 * :class:`~repro.campaign.dist.costmodel.CostModel` — per-case runtime
-  estimates learned from prior results, driving longest-job-first order —
-  and :class:`~repro.campaign.dist.costmodel.AutoscalePolicy`, which turns
-  queue depth and cost backlog into a desired fleet size;
+  estimates learned from prior results, driving longest-job-first order;
 * :func:`~repro.campaign.dist.incremental.snapshot_campaign` — incremental
   aggregation: a partially drained grid is already queryable, with explicit
   pending/running/failed accounting;
@@ -69,15 +67,10 @@ machine, transports and operational recipes in ``docs/distributed.md``,
 
 from repro.campaign.dist.breaker import CircuitBreaker
 from repro.campaign.dist.chaos import ChaosTransport, FaultPlan
-from repro.campaign.dist.costmodel import AutoscalePolicy, CostModel
+from repro.campaign.dist.costmodel import CostModel
 from repro.campaign.dist.executor import DistributedExecutor
 from repro.campaign.dist.incremental import CampaignSnapshot, snapshot_campaign
-from repro.campaign.dist.queue import (
-    WorkItem,
-    WorkQueue,
-    cost_for_priority,
-    priority_for_cost,
-)
+from repro.campaign.dist.queue import WorkItem, WorkQueue, priority_for_cost
 from repro.campaign.dist.sharding import EpochMismatch, ShardedTransport
 from repro.campaign.dist.transport import (
     DegradedResult,
@@ -107,7 +100,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "AutoscalePolicy",
     "Broker",
     "CampaignSnapshot",
     "ChaosTransport",
@@ -126,7 +118,6 @@ __all__ = [
     "WorkItem",
     "WorkQueue",
     "Worker",
-    "cost_for_priority",
     "is_degraded",
     "priority_for_cost",
     "snapshot_campaign",

@@ -1,12 +1,13 @@
-"""Cost-driven scheduling: runtime estimates and worker autoscaling.
+"""Cost-driven scheduling: learned runtime estimates for LPT ordering.
 
 Fanning a grid out over a worker pool suffers stragglers when a long job is
 claimed last; ordering the queue by *descending estimated runtime* keeps the
 tail short (classic LPT scheduling).  The estimates are learned, not
 declared: every executed :class:`~repro.campaign.jobs.JobResult` carries its
-wall time, and :func:`~repro.campaign.runner.run_campaign` feeds fresh
-results into the model persisted alongside the result cache — so the second
-campaign over a similar grid is scheduled from the first one's measurements.
+wall time, and :func:`~repro.campaign.runner.run_campaign` — the model's one
+learner — feeds fresh results into the model persisted alongside the result
+cache, so the second campaign over a similar grid is scheduled from the
+first one's measurements.
 
 Two granularities back a :class:`CostModel` estimate:
 
@@ -16,31 +17,15 @@ Two granularities back a :class:`CostModel` estimate:
 
 Unknown cases fall back to a neutral constant, which degrades to FIFO
 ordering — correct, just not optimized.
-
-The same cost signal sizes the fleet: :class:`AutoscalePolicy` turns the
-queue's claimable depth and its priority-decoded cost backlog (both
-computed from listings alone — see
-:meth:`~repro.campaign.dist.queue.WorkQueue.backlog`) into a desired
-worker count that
-:class:`~repro.campaign.dist.executor.DistributedExecutor` consults each
-scheduling tick instead of spawning a fixed fleet.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.campaign.jobs import JobResult
-from repro.campaign.jsonio import (
-    atomic_write_json,
-    json_dumps_bytes,
-    json_loads_or_none,
-    read_json_or_none,
-)
+from repro.campaign.jsonio import json_dumps_bytes, json_loads_or_none
 from repro.campaign.spec import JobSpec
 
 #: Estimate used when nothing at all is known about a job's case.
@@ -54,41 +39,45 @@ COSTMODEL_FILENAME = "costmodel.json"
 
 
 class CostModel:
-    """Learned wall-time estimates with optional JSON persistence.
+    """Learned wall-time estimates, optionally persisted through a transport.
 
-    Persistence rides either a plain ``path`` (the original mode) or any
-    :class:`~repro.campaign.dist.transport.QueueTransport` plus a ``key``
-    — so when the result cache lives behind the HTTP broker, its
-    scheduling priors follow it there instead of demanding a shared
-    filesystem.  Over a filesystem transport the stored bytes and
-    location (``<root>/costmodel.json``) are identical to path mode.
+    The model is stored as one JSON document under ``key`` in any
+    :class:`~repro.campaign.dist.transport.QueueTransport` — so when the
+    result cache lives behind the HTTP broker, its scheduling priors follow
+    it there instead of demanding a shared filesystem.  Without a
+    transport the model is in-memory only.
+
+    >>> from repro.campaign.dist.transport import MemoryTransport
+    >>> job = JobSpec(campaign="demo", case="synthetic", index=0,
+    ...               params={}, seed=1)
+    >>> CostModel().estimate(job) == DEFAULT_COST  # nothing learned yet
+    True
+    >>> store = MemoryTransport()
+    >>> model = CostModel(store)
+    >>> model.observe(JobResult(job_id=job.job_id, case=job.case,
+    ...                         params={}, seed=1, wall_time=2.5))
+    >>> model.save()
+    'costmodel.json'
+    >>> CostModel(store).estimate(job)
+    2.5
     """
 
-    def __init__(self, path: Optional[os.PathLike] = None,
-                 transport: Optional[Any] = None,
+    def __init__(self, transport: Optional[Any] = None,
                  key: str = COSTMODEL_FILENAME):
-        self.path = Path(path) if path is not None else None
         self.transport = transport
         self.key = key
         self._exact: Dict[str, float] = {}
         self._cases: Dict[str, Dict[str, float]] = {}
-        if self.persistent:
+        if transport is not None:
             self.load()
 
     @classmethod
     def alongside(cls, cache: Any) -> "CostModel":
         """The model persisted next to a result cache's entries — through
-        the cache's own transport, so broker-hosted caches carry their
-        scheduling priors too."""
-        transport = getattr(cache, "transport", None)
-        if transport is not None:
-            return cls(transport=transport, key=COSTMODEL_FILENAME)
-        return cls(Path(cache.root) / COSTMODEL_FILENAME)
-
-    @property
-    def persistent(self) -> bool:
-        """True when :meth:`save` durably persists the model somewhere."""
-        return self.path is not None or self.transport is not None
+        the cache's own transport (``<root>/costmodel.json`` for a
+        directory cache), so broker-hosted caches carry their scheduling
+        priors too."""
+        return cls(transport=cache.transport)
 
     # -- learning ----------------------------------------------------------
     def observe(self, result: JobResult) -> None:
@@ -138,19 +127,16 @@ class CostModel:
 
     # -- persistence -------------------------------------------------------
     def load(self) -> None:
-        """Load persisted estimates; a missing or corrupt file is empty.
+        """Load persisted estimates; a missing or corrupt document is empty.
 
         Crash consistency mirrors the result cache: the model is a pure
-        optimization, so garbage on disk degrades scheduling, never
+        optimization, so garbage in the store degrades scheduling, never
         correctness.
         """
-        if self.transport is not None:
-            got = self.transport.get(self.key)
-            payload = json_loads_or_none(got[0]) if got is not None else None
-        elif self.path is not None:
-            payload = read_json_or_none(self.path)
-        else:
+        if self.transport is None:
             return
+        got = self.transport.get(self.key)
+        payload = json_loads_or_none(got[0]) if got is not None else None
         if payload is None:
             return
         exact = payload.get("exact", {})
@@ -176,20 +162,14 @@ class CostModel:
                 and usable(stats.get("count")) and usable(stats.get("mean"))
             }
 
-    def save(self) -> Optional[os.PathLike]:
-        """Atomically persist the model; a no-op without a store.
-
-        Returns the path (path mode), the storage key (transport mode),
-        or ``None`` when the model is in-memory only.
-        """
-        payload = {"exact": self._exact, "cases": self._cases}
-        if self.transport is not None:
-            self.transport.put(self.key, json_dumps_bytes(payload))
-            return self.key
-        if self.path is None:
+    def save(self) -> Optional[str]:
+        """Persist the model; returns its storage key, or ``None`` (a
+        no-op) when the model is in-memory only."""
+        if self.transport is None:
             return None
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        return atomic_write_json(self.path, payload)
+        payload = {"exact": self._exact, "cases": self._cases}
+        self.transport.put(self.key, json_dumps_bytes(payload))
+        return self.key
 
     def __len__(self) -> int:
         return len(self._exact)
@@ -197,83 +177,3 @@ class CostModel:
     def __repr__(self) -> str:
         return (f"CostModel(jobs={len(self._exact)}, "
                 f"cases={sorted(self._cases)})")
-
-
-@dataclass
-class AutoscalePolicy:
-    """Sizes a worker fleet from queue depth and cost-model backlog.
-
-    :class:`~repro.campaign.dist.executor.DistributedExecutor` consults
-    the policy on every scheduling tick: it *grows* the fleet by spawning
-    workers up to :meth:`desired_workers`, and *shrinks* it by attrition —
-    autoscaled workers run with ``idle_timeout``, so a worker that finds
-    no claimable ticket for that long exits on its own.  Shrinking by
-    starvation (rather than terminating processes) can never kill a
-    worker mid-job, so scale-down consumes no retry attempts.
-
-    Two signals drive the target, both computed from queue listings alone
-    (:meth:`~repro.campaign.dist.queue.WorkQueue.backlog`):
-
-    * **queue depth** — one worker per ``jobs_per_worker`` claimable
-      tickets;
-    * **cost backlog** — when ``backlog_seconds`` is set, enough workers
-      that the estimated sequential runtime of the unclaimed tickets
-      (decoded from their priority-encoded names, i.e. the cost model's
-      estimates at enqueue time) divides below that bound.
-
-    The larger demand wins, clamped into ``[min_workers, max_workers]``
-    while work remains; with nothing claimable the target is zero (running
-    jobs still finish — nothing preempts a claim).
-
-    >>> policy = AutoscalePolicy(min_workers=1, max_workers=4,
-    ...                          jobs_per_worker=4.0, backlog_seconds=60.0)
-    >>> policy.desired_workers(pending=8, backlog=30.0)   # depth: 8/4
-    2
-    >>> policy.desired_workers(pending=2, backlog=600.0)  # backlog: 600/60
-    4
-    >>> policy.desired_workers(pending=0, backlog=0.0)
-    0
-    """
-
-    min_workers: int = 1
-    max_workers: int = 8
-    jobs_per_worker: float = 4.0
-    backlog_seconds: float = 0.0
-    #: Idle seconds after which an autoscaled worker exits (the shrink path).
-    idle_timeout: float = 2.0
-
-    def __post_init__(self):
-        if self.min_workers < 0:
-            raise ValueError("min_workers must be >= 0")
-        if self.max_workers < max(1, self.min_workers):
-            raise ValueError("max_workers must be >= max(1, min_workers)")
-        if self.jobs_per_worker <= 0:
-            raise ValueError("jobs_per_worker must be positive")
-        if self.backlog_seconds < 0:
-            raise ValueError("backlog_seconds must be >= 0")
-        if self.idle_timeout <= 0:
-            raise ValueError("idle_timeout must be positive")
-
-    def desired_workers(self, pending: float, backlog: float) -> int:
-        """Target fleet size for ``pending`` claimable tickets whose summed
-        cost estimate is ``backlog`` seconds.  Zero when nothing is
-        claimable."""
-        if pending <= 0:
-            return 0
-        by_depth = math.ceil(pending / self.jobs_per_worker)
-        by_backlog = (math.ceil(backlog / self.backlog_seconds)
-                      if self.backlog_seconds > 0 else 0)
-        return min(self.max_workers,
-                   max(self.min_workers, 1, by_depth, by_backlog))
-
-    def desired_from(self, backlog: Mapping[str, float]) -> int:
-        """:meth:`desired_workers` over a
-        :meth:`~repro.campaign.dist.queue.WorkQueue.backlog` mapping."""
-        return self.desired_workers(pending=backlog.get("pending", 0.0),
-                                    backlog=backlog.get("seconds", 0.0))
-
-    def __repr__(self) -> str:
-        return (f"AutoscalePolicy(min={self.min_workers}, "
-                f"max={self.max_workers}, "
-                f"jobs_per_worker={self.jobs_per_worker}, "
-                f"backlog_seconds={self.backlog_seconds})")

@@ -72,7 +72,7 @@ from repro.campaign.spec import JobSpec
 _PRIORITY_WIDTH = 10
 _PRIORITY_MAX = 10 ** _PRIORITY_WIDTH - 1
 
-#: Pending tickets fetched per page during claim/backlog scans — a claim
+#: Pending tickets fetched per page during claim scans — a claim
 #: normally wins inside the first page, so the scan stops shipping the
 #: full keyspace for every poll.
 _SCAN_PAGE = 64
@@ -81,11 +81,6 @@ _SCAN_PAGE = 64
 #: claim round trip.  A claim normally wins on the window's first
 #: candidate, so a bigger window mostly ships unused documents.
 _CLAIM_WINDOW = 16
-
-#: Cap on the pending tickets a :meth:`WorkQueue.backlog` scan inspects.
-#: Any realistic :class:`~repro.campaign.dist.costmodel.AutoscalePolicy`
-#: saturates its ``max_workers`` long before this many claimable tickets.
-_BACKLOG_SCAN_CAP = 1024
 
 def priority_for_cost(cost: float) -> str:
     """Encode an estimated cost (seconds) as a sortable priority string.
@@ -100,20 +95,6 @@ def priority_for_cost(cost: float) -> str:
         cost = 0.0
     millis = int(max(0.0, min(cost, 1e6)) * 1000.0)  # clamps +/-inf too
     return f"{_PRIORITY_MAX - millis:0{_PRIORITY_WIDTH}d}"
-
-
-def cost_for_priority(name: str) -> float:
-    """Decode a ticket name's embedded cost estimate (seconds).
-
-    The inverse of :func:`priority_for_cost`, up to millisecond rounding.
-    Lets the autoscaler compute the queue's cost backlog from listings
-    alone — no record reads on the scaling path.  Unparseable names read
-    as zero cost.
-    """
-    prefix = name[:_PRIORITY_WIDTH]
-    if not prefix.isdigit():
-        return 0.0
-    return max(0, _PRIORITY_MAX - int(prefix)) / 1000.0
 
 
 def _ticket_key_of(name: str) -> Optional[str]:
@@ -463,61 +444,32 @@ class WorkQueue:
         dead-lettered is a no-op, so a restarted orchestrator can replay a
         whole grid into an existing queue safely.
         """
-        key = job.job_id
-        record = self._get_json(f"jobs/{key}.json")
-        if record and "job" in record:
-            name = record.get("name") or f"{priority_for_cost(cost)}-{key}"
-        else:
-            name = f"{priority_for_cost(cost)}-{key}"
-            # enqueued_at anchors the per-job queue-wait span (see
-            # obs.spans.spans_from_result_records); the record stays
-            # immutable — losers of the creation race adopt the winner's
-            # timestamp along with its ticket name.
-            payload = {"job": job.to_record(), "cost": float(cost),
-                       "name": name, "enqueued_at": self._clock()}
-            if self.transport.cas(f"jobs/{key}.json",
-                                  json_dumps_bytes(payload),
-                                  if_match=None) is None:
-                # Lost an enqueue race: adopt the winner's ticket name so
-                # the job cannot end up with two differently-prioritized
-                # tickets.
-                record = self._get_json(f"jobs/{key}.json") or payload
-                name = record.get("name") or name
-        # One batched probe for every state that would make the ticket
-        # redundant, instead of five sequential round trips.
-        probes = self.transport.get_many([
-            f"pending/{name}.json",
-            f"claims/{name}.json",
-            f"done/{name}.json",
-            f"results/{key}.json",
-            f"dead/{key}.json",
-        ])
-        if any(got is not None for got in probes):
-            return name
-        self.transport.cas(f"pending/{name}.json",
-                           json_dumps_bytes({"attempts": 0}), if_match=None)
-        return name
+        return self._enqueue([job], [float(cost)])[0]
 
     def enqueue_grid(self, jobs: Iterable[JobSpec],
                      cost_model: Optional[Any] = None) -> List[str]:
-        """Enqueue many jobs, longest-estimated-first when a model is given.
+        """Enqueue many jobs, longest-estimated-first when a model is given
+        (see :meth:`enqueue` for the idempotence contract)."""
+        jobs = list(jobs)
+        if cost_model is None:
+            return self._enqueue(jobs, [0.0] * len(jobs))
+        jobs = cost_model.order(jobs)
+        return self._enqueue(jobs, [cost_model.estimate(job) for job in jobs])
+
+    def _enqueue(self, jobs: List[JobSpec], costs: List[float]) -> List[str]:
+        """Enqueue ``jobs`` in order with their cost estimates.
 
         Fully batched: existing state is listed once up front, the
         (immutable) job records are read and conditionally created in
         bulk (``get_many`` / ``put_many``), and the tickets land in one
         more batch — so replaying a large grid costs O(5 listings + a few
         batch round trips), not O(jobs) round trips, over the HTTP
-        transport.  Races with concurrent orchestrators settle exactly as
-        in :meth:`enqueue`: a lost conditional create adopts the winner's
-        ticket name.
+        transport.  A lost conditional create (a concurrent orchestrator
+        enqueued the same job) adopts the winner's ticket name, so a job
+        cannot end up with two differently-prioritized tickets.
         """
-        jobs = list(jobs)
         if not jobs:
             return []
-        costs: List[float] = [0.0] * len(jobs)
-        if cost_model is not None:
-            jobs = cost_model.order(jobs)
-            costs = [cost_model.estimate(job) for job in jobs]
         known = {
             "pending": set(self._names("pending")),
             "claims": set(self._names("claims")),
@@ -536,6 +488,10 @@ class WorkQueue:
                              or f"{priority_for_cost(cost)}-{job.job_id}")
             else:
                 name = f"{priority_for_cost(cost)}-{job.job_id}"
+                # enqueued_at anchors the per-job queue-wait span (see
+                # obs.spans.spans_from_result_records); the record stays
+                # immutable — losers of the creation race adopt the
+                # winner's timestamp along with its ticket name.
                 payload = {"job": job.to_record(), "cost": float(cost),
                            "name": name, "enqueued_at": self._clock()}
                 creates.append((index, json_dumps_bytes(payload)))
@@ -547,9 +503,8 @@ class WorkQueue:
             losers = [index for (index, _), tag in zip(creates, outcomes)
                       if tag is None]
             if losers:
-                # Lost enqueue races: adopt the winners' ticket names so a
-                # job cannot end up with two differently-prioritized
-                # tickets (one batched re-read for all losers).
+                # Lost enqueue races: adopt the winners' ticket names (one
+                # batched re-read for all losers).
                 won = self.transport.get_many(
                     [f"jobs/{jobs[index].job_id}.json" for index in losers])
                 for index, got in zip(losers, won):
@@ -661,11 +616,11 @@ class WorkQueue:
 
         ``metrics`` (a JSON-safe dict, e.g. :meth:`~repro.campaign.dist.
         worker.Worker.metrics_snapshot`) rides along in the renewed
-        claim document, where :meth:`worker_metrics` — and through it
-        the executor's autoscale tick — can read per-worker throughput
-        without any extra round trips or side channels.  The *initial*
-        claim document never carries metrics, so the claim path's
-        own-write byte comparison is unaffected.
+        claim document, where :meth:`worker_metrics` (and its queue-free
+        mirror in ``python -m repro.campaign.dist.stats``) can read
+        per-worker throughput without any extra round trips or side
+        channels.  The *initial* claim document never carries metrics,
+        so the claim path's own-write byte comparison is unaffected.
         """
         doc = self._lease_payload(item.worker, item.attempts, self._clock())
         if metrics:
@@ -991,47 +946,6 @@ class WorkQueue:
         polling stays cheap (two round trips on the HTTP transport).
         """
         return set(self._names("results")) | set(self._names("dead"))
-
-    def backlog(self, now: Optional[float] = None,
-                max_names: int = _BACKLOG_SCAN_CAP) -> Dict[str, float]:
-        """Claimable depth and estimated cost backlog, from listings alone.
-
-        The cost estimate of every unclaimed ticket is decoded from its
-        priority-encoded name (:func:`cost_for_priority`), so autoscaling
-        decisions cost a few listing pages per tick — no record reads.
-        The pending scan is *paginated and capped* at ``max_names``
-        claimable tickets: beyond the cap the counts are reported as
-        (ample) lower bounds with ``truncated`` set, since any realistic
-        :class:`~repro.campaign.dist.costmodel.AutoscalePolicy` saturates
-        its ``max_workers`` long before then — the autoscaler must not
-        ship a million-ticket keyspace every tick to decide "scale to 8".
-        Returns ``{"pending": <ticket count>, "seconds": <summed
-        estimate>, "truncated": 0.0 or 1.0}``.
-        """
-        claims = set(self._names("claims"))
-        names: List[str] = []
-        truncated = False
-        start_after = ""
-        head = len("pending/")
-        while True:
-            page, token = self.transport.list_page(
-                "pending/", min(_SCAN_PAGE * 8, max(1, max_names)),
-                start_after=start_after)
-            for full_key in page:
-                if not full_key.endswith(".json"):
-                    continue
-                name = full_key[head:-5]
-                if name not in claims and self._key_of(name) is not None:
-                    names.append(name)
-            if token is None:
-                break
-            if len(names) >= max_names:
-                truncated = True
-                break
-            start_after = token
-        return {"pending": float(len(names)),
-                "seconds": sum(cost_for_priority(name) for name in names),
-                "truncated": 1.0 if truncated else 0.0}
 
     def results(self) -> Dict[str, JobResult]:
         """All persisted results, keyed by job key (corrupt records skipped)."""

@@ -38,7 +38,7 @@ Design:
   trip for what used to be dozens.  Batches are not transactions: each
   op succeeds or conflicts individually.
 * **Pagination.**  ``GET /list`` accepts ``max-keys`` and ``start-after``
-  so heartbeat and autoscale scans fetch bounded pages (keyset
+  so claim scans and lease sweeps fetch bounded pages (keyset
   continuation: the token is the last key of the page, so deletions
   between pages never skip survivors).
 * **Dialect** (see :class:`~repro.campaign.dist.transport.HttpTransport`):

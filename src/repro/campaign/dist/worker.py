@@ -88,8 +88,8 @@ class _LeaseHeartbeat(threading.Thread):
     """Daemon thread renewing a claim's lease while the job executes.
 
     Each renewal carries the worker's metrics snapshot (when a provider
-    is given) into the claim document, so the orchestrator's autoscale
-    tick sees per-worker throughput through the queue itself — see
+    is given) into the claim document, so fleet dashboards see per-worker
+    throughput through the queue itself — see
     :meth:`~repro.campaign.dist.queue.WorkQueue.worker_metrics`.
 
     A transient :class:`TransportError` (or ``OSError``) during a renewal
@@ -147,9 +147,9 @@ class Worker:
         default) keeps polling for new jobs forever, bounded by
         ``idle_timeout`` / ``max_jobs`` when given.
     idle_timeout:
-        Exit after this many consecutive seconds without a claimable job.
-        Autoscaled fleets use this as their scale-*down* path: surplus
-        workers starve and exit; nothing ever preempts a running job.
+        Exit after this many consecutive seconds without a claimable job
+        — how a standing worker (no ``exit_when_drained``) releases its
+        host once the campaigns feeding its queue stop.
     max_outage:
         Transient-failure budget: a :class:`TransportError` (or
         ``OSError``) in the claim/settle loop is retried with bounded
@@ -209,10 +209,10 @@ class Worker:
 
         Rides every heartbeat renewal into the claim document (see
         :meth:`~repro.campaign.dist.queue.WorkQueue.heartbeat`), where
-        :meth:`~repro.campaign.dist.queue.WorkQueue.worker_metrics` —
-        and through it the executor's autoscale tick — reads per-worker
-        throughput with no side channel.  ``at`` stamps the snapshot so
-        readers can prefer the freshest one.
+        :meth:`~repro.campaign.dist.queue.WorkQueue.worker_metrics` and
+        ``python -m repro.campaign.dist.stats`` read per-worker throughput
+        with no side channel.  ``at`` stamps the snapshot so readers can
+        prefer the freshest one.
         """
         now = time.time()
         uptime = max(1e-9, now - self.started_at)
@@ -510,7 +510,8 @@ def main(argv: Optional[list] = None) -> int:
                         help="seconds between claim attempts when idle")
     parser.add_argument("--idle-timeout", type=float, default=None,
                         help="exit after this many consecutive idle seconds "
-                             "(autoscaled fleets use this to shrink)")
+                             "(lets a standing worker stop once its queue "
+                             "goes quiet)")
     parser.add_argument("--max-jobs", type=int, default=None,
                         help="exit after settling this many jobs")
     parser.add_argument("--exit-when-drained", action="store_true",

@@ -9,9 +9,8 @@ crash can leave stray bytes; it must never wedge the system).
 
 Two layers live here:
 
-* file helpers (:func:`atomic_write_json` / :func:`read_json_or_none` and
-  their ``bytes`` twins) used by the filesystem transport and path-mode
-  cost models;
+* file helpers (:func:`atomic_write_bytes` / :func:`read_bytes_or_none`)
+  used by the filesystem transport;
 * byte-level codecs (:func:`json_dumps_bytes` / :func:`json_loads_or_none`)
   shared by every :class:`~repro.campaign.dist.transport.QueueTransport`
   implementation, the HTTP broker, the result cache and the cost model,
@@ -47,7 +46,7 @@ def json_loads_or_none(data: Optional[bytes]) -> Optional[Dict[str, Any]]:
     """Decode JSON object bytes; ``None``/garbage/non-dict content is ``None``.
 
     The tolerant twin of :func:`json_dumps_bytes`: a truncated or corrupt
-    record reads as absent, mirroring :func:`read_json_or_none`.
+    record reads as absent, mirroring :func:`read_bytes_or_none`.
 
     >>> json_loads_or_none(b'{"a": 2}')
     {'a': 2}
@@ -88,16 +87,3 @@ def read_bytes_or_none(path: Path) -> Optional[bytes]:
     except OSError:
         return None
 
-
-def atomic_write_json(path: Path, payload: Dict[str, Any]) -> Path:
-    """Write ``payload`` to ``path`` atomically; returns ``path``.
-
-    Composes :func:`json_dumps_bytes` with :func:`atomic_write_bytes`, so
-    file-backed records share the transports' canonical encoding.
-    """
-    return atomic_write_bytes(Path(path), json_dumps_bytes(payload))
-
-
-def read_json_or_none(path: Path) -> Optional[Dict[str, Any]]:
-    """Parse a JSON object file; missing/garbage/non-dict content is ``None``."""
-    return json_loads_or_none(read_bytes_or_none(Path(path)))

@@ -107,10 +107,7 @@ def run_campaign(spec: SweepSpec,
             if (cache is not None and result.ok
                     and not result.cached and not workers_own_cache):
                 cache.put(job, {"result": result.to_record()})
-        if cache is not None and not getattr(executor, "learns_costs", False):
-            # Executors that own cost learning (DistributedExecutor folds
-            # wall times into the model inside map()) must not be counted
-            # a second time here.
+        if cache is not None:
             _learn_costs(cache, fresh)
     else:
         say(f"all {len(jobs)} jobs served from cache")
@@ -137,8 +134,10 @@ def run_campaign(spec: SweepSpec,
 def _learn_costs(cache: TransportResultCache, fresh: List[JobResult]) -> None:
     """Fold freshly measured wall times into the cost model stored beside
     the cache — through the cache's own transport, so broker-hosted caches
-    carry their scheduling priors too.  Best-effort: scheduling is an
-    optimization, never worth failing a campaign over."""
+    carry their scheduling priors too.  This is the model's only learner:
+    executors (including distributed fleets) only read it to order their
+    queues.  Best-effort: scheduling is an optimization, never worth
+    failing a campaign over."""
     from repro.campaign.dist.costmodel import CostModel
     from repro.campaign.dist.transport import TransportError
 
@@ -146,7 +145,7 @@ def _learn_costs(cache: TransportResultCache, fresh: List[JobResult]) -> None:
         model = CostModel.alongside(cache)
         model.observe_many(fresh)
         model.save()
-    except (OSError, TransportError):  # pragma: no cover - store went away
+    except (OSError, TransportError):  # the store went away
         pass
 
 

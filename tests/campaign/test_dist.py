@@ -20,7 +20,6 @@ import threading
 import pytest
 
 from repro.campaign import (
-    AutoscalePolicy,
     DistributedExecutor,
     MemoryTransport,
     ResultCache,
@@ -34,6 +33,7 @@ from repro.campaign import (
 from repro.campaign.dist import (
     Broker,
     CostModel,
+    Worker,
     WorkQueue,
     transport_from_address,
 )
@@ -335,9 +335,9 @@ def test_thread_fleet_executes_each_job_exactly_once_without_any_fs(
 
 def test_map_survives_cost_model_store_outage():
     """Scheduling priors are best-effort: a cache store that rejects the
-    cost-model document — at priors load *and* at the post-drain save —
-    must degrade to FIFO ordering / lost priors, never fail a campaign
-    whose results are in hand."""
+    cost-model document — at the executor's priors load *and* at
+    run_campaign's save — must degrade to FIFO ordering / lost priors,
+    never fail a campaign whose results are in hand."""
     from repro.campaign import TransportError
 
     class ModellessTransport(MemoryTransport):
@@ -478,6 +478,33 @@ def test_workers_deduplicate_through_shared_cache(tmp_path):
     assert [r.metrics for r in results] == [r.metrics for r in first]
 
 
+def test_fleet_campaign_learns_each_fresh_job_once():
+    """run_campaign is the cost model's only learner: a thread fleet that
+    shares the campaign's cache must not fold the same fresh wall times
+    in a second time (the persisted case count would double)."""
+    import json
+
+    spec = _synthetic_spec()
+    cache = TransportResultCache(MemoryTransport())
+    executor = DistributedExecutor(transport=MemoryTransport(), workers=2,
+                                   cache=cache, lease_seconds=5.0,
+                                   poll_interval=0.01, timeout=120.0)
+    campaign = run_campaign(spec, executor=executor, cache=cache)
+    assert campaign.ok, campaign.failures
+    assert campaign.cache_misses == len(spec.expand())
+    stored = json.loads(cache.transport.get("costmodel.json")[0])
+    assert stored["cases"]["synthetic"]["count"] == len(spec.expand())
+    assert len(CostModel.alongside(cache)) == len(spec.expand())
+
+
+def test_standing_worker_exits_after_idle_timeout():
+    """A worker without exit_when_drained stands by for new jobs; its
+    idle_timeout is what lets it stop once the queue goes quiet."""
+    queue = WorkQueue(transport=MemoryTransport())
+    worker = Worker(queue, idle_timeout=0.05, poll_interval=0.01)
+    assert worker.run() == 0
+
+
 def test_fresh_results_teach_the_cost_model(tmp_path):
     """run_campaign persists wall times beside the cache; a later
     distributed enqueue orders the queue longest-job-first from them."""
@@ -591,79 +618,3 @@ def test_unknown_case_dead_letters_after_retries(tmp_path):
     assert not result.ok
     assert "UnknownCaseError" in result.failures[0].error
     assert WorkQueue(queue_dir).counts()["dead"] == 1
-
-
-# -- autoscaling -------------------------------------------------------------
-
-def test_autoscale_policy_sizes_from_depth_and_backlog():
-    policy = AutoscalePolicy(min_workers=1, max_workers=4,
-                             jobs_per_worker=4.0, backlog_seconds=60.0)
-    assert policy.desired_workers(pending=0, backlog=0.0) == 0
-    assert policy.desired_workers(pending=1, backlog=0.0) == 1
-    assert policy.desired_workers(pending=8, backlog=0.0) == 2
-    assert policy.desired_workers(pending=100, backlog=0.0) == 4  # clamp
-    # The cost backlog can demand more than the depth alone.
-    assert policy.desired_workers(pending=2, backlog=600.0) == 4
-    assert policy.desired_from({"pending": 8.0, "seconds": 30.0}) == 2
-    # Depth-only policies ignore the backlog signal entirely.
-    depth_only = AutoscalePolicy(max_workers=8, jobs_per_worker=1.0)
-    assert depth_only.desired_workers(pending=3, backlog=1e9) == 3
-
-
-def test_autoscale_policy_validates():
-    with pytest.raises(ValueError):
-        AutoscalePolicy(min_workers=-1)
-    with pytest.raises(ValueError):
-        AutoscalePolicy(min_workers=5, max_workers=2)
-    with pytest.raises(ValueError):
-        AutoscalePolicy(jobs_per_worker=0.0)
-    with pytest.raises(ValueError):
-        AutoscalePolicy(backlog_seconds=-1.0)
-    with pytest.raises(ValueError):
-        AutoscalePolicy(idle_timeout=0.0)
-
-
-def test_autoscale_spawn_storm_guard_survives_historical_clean_exits():
-    """The broken-fleet diagnosis must key off the *newest* worker's exit,
-    not the whole history: one early clean attrition exit (code 0) in the
-    handle list must not disable the respawn cap when the broker later
-    dies and every fresh worker exits 3."""
-    class FakeHandle:
-        def __init__(self, code):
-            self.code = code
-
-        def poll(self):
-            return self.code
-
-    executor = DistributedExecutor(
-        transport=MemoryTransport(),
-        autoscale=AutoscalePolicy(min_workers=1, max_workers=2,
-                                  jobs_per_worker=1.0))
-    queue = WorkQueue(transport=executor.transport)
-    queue.enqueue_grid(_synthetic_spec().expand())  # claimable work exists
-    executor._spawn = lambda q, index: FakeHandle(3)  # every spawn dies
-
-    handles = [FakeHandle(0), FakeHandle(3)]  # attrition exit + failure
-    with pytest.raises(RuntimeError, match="exit codes"):
-        for _ in range(10):
-            executor._autoscale_tick(queue, handles)
-    assert executor.respawns <= executor._max_respawns()
-
-
-def test_autoscaled_fleet_matches_serial_and_grows():
-    """An autoscaled thread fleet sizes itself from queue depth (8 jobs /
-    2 per worker, clamped to 3), drains the grid, and still reproduces
-    the serial aggregate bit-for-bit."""
-    spec = _synthetic_spec()
-    serial = run_campaign(spec, executor=SerialExecutor())
-    executor = DistributedExecutor(
-        transport=MemoryTransport(),
-        autoscale=AutoscalePolicy(min_workers=1, max_workers=3,
-                                  jobs_per_worker=2.0, idle_timeout=0.5),
-        lease_seconds=5.0, poll_interval=0.01, timeout=120.0)
-    distributed = run_campaign(spec, executor=executor)
-    assert distributed.ok, distributed.failures
-    assert (serial.aggregate_fingerprint()
-            == distributed.aggregate_fingerprint())
-    assert executor.spawned_total == 3  # grew past a single worker, clamped
-    assert executor.last_queue.drained()

@@ -28,7 +28,6 @@ from repro.campaign.dist import (
     QueueTransport,
     ShardedTransport,
     WorkQueue,
-    cost_for_priority,
     priority_for_cost,
 )
 from repro.campaign.dist.server import Broker
@@ -161,14 +160,6 @@ def test_priority_encoding_sorts_longest_first():
     assert priority_for_cost(-1.0) == priority_for_cost(0.0)
 
 
-def test_priority_encoding_round_trips_for_backlog():
-    """The autoscaler reads cost estimates back out of ticket names."""
-    for cost in (0.0, 0.25, 1.0, 8.0, 3600.0):
-        name = f"{priority_for_cost(cost)}-somejob"
-        assert cost_for_priority(name) == pytest.approx(cost, abs=1e-3)
-    assert cost_for_priority("not-a-ticket") == 0.0
-
-
 def test_claim_is_mutually_exclusive(queue):
     jobs = _jobs()
     for job in jobs:
@@ -190,20 +181,6 @@ def test_workload_error_results_settle_as_completed(queue):
     assert queue.drained()
     assert queue.counts()["dead"] == 0  # deterministic failure, no retry
     assert not queue.results()[job.job_id].ok
-
-
-def test_backlog_tracks_unclaimed_cost(queue):
-    jobs = _jobs()
-    costs = [0.5, 8.0, 2.0, 4.0]
-    for job, cost in zip(jobs, costs):
-        queue.enqueue(job, cost=cost)
-    backlog = queue.backlog()
-    assert backlog["pending"] == 4
-    assert backlog["seconds"] == pytest.approx(sum(costs), abs=1e-2)
-    queue.claim("w0")  # the 8.0s job leaves the claimable backlog
-    backlog = queue.backlog()
-    assert backlog["pending"] == 3
-    assert backlog["seconds"] == pytest.approx(sum(costs) - 8.0, abs=1e-2)
 
 
 # -- leases, retries, dead-letter ------------------------------------------
@@ -531,7 +508,7 @@ def test_corrupt_result_document_is_skipped(queue):
 
 def test_cost_model_orders_longest_first(tmp_path):
     jobs = _jobs()
-    model = CostModel(tmp_path / "costmodel.json")
+    model = CostModel(FsTransport(tmp_path))
     walls = [0.5, 8.0, 2.0, 4.0]
     for job, wall in zip(jobs, walls):
         model.observe(JobResult(job_id=job.job_id, case=job.case,
@@ -541,37 +518,39 @@ def test_cost_model_orders_longest_first(tmp_path):
     assert [model.estimate(job) for job in ordered] == sorted(walls,
                                                               reverse=True)
     model.save()
+    assert (tmp_path / "costmodel.json").exists()
 
     # Reload: exact estimates survive, unseen jobs fall back to case mean.
-    reloaded = CostModel(tmp_path / "costmodel.json")
+    reloaded = CostModel(FsTransport(tmp_path))
     assert reloaded.estimate(jobs[1]) == 8.0
     unseen = _spec(grid={"workers": [5], "tasks": [99]}).expand()[0]
     assert reloaded.estimate(unseen) == pytest.approx(sum(walls) / len(walls))
 
 
 def test_cost_model_ignores_cached_results_and_survives_corruption(tmp_path):
-    path = tmp_path / "costmodel.json"
-    model = CostModel(path)
+    store = FsTransport(tmp_path)
+    path = tmp_path / "costmodel.json"  # where the store keeps the model
+    model = CostModel(store)
     job = _jobs()[0]
     model.observe(JobResult(job_id=job.job_id, case=job.case,
                             params=job.params, seed=job.seed,
                             wall_time=3.0, cached=True))
     assert model.estimate(job) == 1.0  # cached runs teach nothing
     path.write_text("garbage{", encoding="utf-8")
-    assert CostModel(path).estimate(job) == 1.0  # corrupt model == empty
+    assert CostModel(store).estimate(job) == 1.0  # corrupt model == empty
     # Valid JSON with corrupt field types must degrade, not raise.
     path.write_text(json.dumps({
         "exact": {"a-job": "fast", "b-job": True},
         "cases": {"synthetic": {"count": None, "mean": "oops"},
                   "platform": "not-a-dict"},
     }), encoding="utf-8")
-    assert CostModel(path).estimate(job) == 1.0
+    assert CostModel(store).estimate(job) == 1.0
     # Non-finite values round-trip through json; they must be dropped, and
     # the priority encoding must clamp rather than overflow either way.
     path.write_text(json.dumps({
         "exact": {job.job_id: float("inf")},
         "cases": {"synthetic": {"count": 1.0, "mean": float("nan")}},
     }), encoding="utf-8")
-    assert CostModel(path).estimate(job) == 1.0
+    assert CostModel(store).estimate(job) == 1.0
     for weird in (float("inf"), float("-inf"), float("nan")):
         assert len(priority_for_cost(weird)) == 10
